@@ -64,12 +64,12 @@
 // (internal/temporal), instant and span temporal aggregation (internal/ita,
 // internal/sta), the PTA merge operator, prefix matrices, evaluators and
 // the incremental Solver behind the matrix cache (internal/core), the HTTP
-// serving layer (internal/serve), the time-series approximation baselines
-// (internal/approx), V-optimal histograms (internal/histogram), synthetic
-// evaluation workloads (internal/dataset), CSV storage (internal/csvio),
-// and the experiment harness that regenerates every table and figure of
-// the paper (internal/experiments, driven by cmd/ptabench; README.md maps
-// experiment ids to paper figures).
+// serving layer (internal/serve), the distributed coordinator
+// (internal/dist), the time-series approximation baselines
+// (internal/approx), synthetic evaluation workloads (internal/dataset), CSV
+// storage (internal/csvio), and the experiment harness that regenerates
+// every table and figure of the paper (internal/experiments, driven by
+// cmd/ptabench; README.md maps experiment ids to paper figures).
 //
 // bench_test.go at this root wraps one benchmark family around each paper
 // artifact; integration_test.go crosses the package boundaries end to end.

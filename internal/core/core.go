@@ -19,6 +19,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -68,12 +69,19 @@ func (o Options) canceled() error {
 // acceptErrorBound returns the threshold for testing a row error against an
 // error bound eps·SSEmax. Prefix sums accumulated in different orders leave
 // O(ulp)-scale residue on exact ties — eps = 0 over duplicate values, eps = 1
-// at cmin — which must not move the minimal feasible size, so every
-// error-bounded search (serial, parallel, multi-budget, solver) accepts
-// through this one function.
+// at cmin — which must not move the minimal feasible size, so both
+// error-bounded searches (Solver.Solve and the run front, SolveRuns, which
+// dist recombines through too) accept through this one function.
 func acceptErrorBound(bound, maxErr float64) float64 {
 	return bound*(1+1e-9) + 1e-12*maxErr
 }
+
+// ErrNumericDomain reports input outside the numeric domain of the exact
+// evaluators, checked once by NewKernel: a NaN or infinite aggregate value,
+// finite values so large that the length-weighted square sums of
+// Proposition 1 overflow float64, or a weight whose square overflows.
+// Errors matching it under errors.Is name the offending row or attribute.
+var ErrNumericDomain = errors.New("core: value outside the numeric domain")
 
 // InfeasibleSizeError reports a size budget below the smallest reachable
 // reduction size cmin (the number of maximal adjacent runs): no sequence of

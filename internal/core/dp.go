@@ -50,7 +50,6 @@ type dpState struct {
 	pruneI, pruneJ bool
 	algo           FillAlgo // resolved, never FillAuto
 	storeSplits    bool
-	ownSplits      bool // allocate split rows privately even with a Scratch
 	prevE, curE    []float64
 	splits         [][]int32 // splits[k-1][i] = J[k][i]
 	stats          DPStats
@@ -136,7 +135,7 @@ func (st *dpState) fillRow(k int) (float64, error) {
 	}
 	var jrow []int32
 	if st.storeSplits {
-		if sc := st.opts.Scratch; sc != nil && !st.ownSplits {
+		if sc := st.opts.Scratch; sc != nil {
 			jrow = sc.jRow(k, n)
 		} else {
 			jrow = make([]int32, n+1)
@@ -252,17 +251,16 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 	return nil
 }
 
-// reconstruct follows the split-point matrix from cell (c, n) and builds the
-// reduced relation (Example 11).
-func (st *dpState) reconstruct(c int) []temporal.SeqRow {
-	rows := make([]temporal.SeqRow, c)
+// backtrack follows the split-point matrix from cell (c, n) back to row 1
+// (Example 11), reporting each merged tuple t = c−1, ..., 0 of the optimal
+// c-tuple reduction as its 1-based inclusive row range [first, last].
+func (st *dpState) backtrack(c int, emit func(t, first, last int)) {
 	n := st.n
 	for k := c; k >= 1; k-- {
 		j := int(st.splits[k-1][n])
-		rows[k-1] = st.kn.MergeRange(j+1, n)
+		emit(k-1, j+1, n)
 		n = j
 	}
-	return rows
 }
 
 // PruneMode selects which of the two Section 5.3 search-space bounds the
@@ -296,53 +294,27 @@ func (m PruneMode) String() string {
 	return fmt.Sprintf("prune(%d)", uint8(m))
 }
 
-// PTAcAblation evaluates size-bounded PTA with an explicit pruning mode. All
-// modes return the same optimal reduction; they differ only in the work
-// counted by Stats and in runtime.
-func PTAcAblation(seq *temporal.Sequence, c int, opts Options, mode PruneMode) (*DPResult, error) {
-	return runSizeBoundedMode(seq, c, opts, mode == PruneIMax || mode == PruneBoth,
-		mode == PruneJMin || mode == PruneBoth)
+// bounds splits the mode into its two Section 5.3 bounds.
+func (m PruneMode) bounds() (pruneI, pruneJ bool) {
+	return m == PruneIMax || m == PruneBoth, m == PruneJMin || m == PruneBoth
 }
 
-// runSizeBounded drives the DP for a size bound c with or without pruning.
-func runSizeBounded(seq *temporal.Sequence, c int, opts Options, pruned bool) (*DPResult, error) {
-	return runSizeBoundedMode(seq, c, opts, pruned, pruned)
-}
-
-func runSizeBoundedMode(seq *temporal.Sequence, c int, opts Options, pruneI, pruneJ bool) (*DPResult, error) {
-	n := seq.Len()
-	if n == 0 {
-		if c != 0 {
-			return nil, fmt.Errorf("core: size bound %d for an empty relation", c)
-		}
-		return &DPResult{Sequence: seq.WithRows(nil), C: 0}, nil
-	}
+// solve is the serial driver behind the paper's named entry points: a
+// one-shot Solver over a fresh kernel answers the budget.
+func solve(seq *temporal.Sequence, b Budget, opts Options, mode PruneMode) (*DPResult, error) {
 	kn, err := NewKernel(seq, opts)
 	if err != nil {
 		return nil, err
 	}
-	if cmin := kn.CMin(); c < cmin {
-		return nil, &InfeasibleSizeError{C: c, CMin: cmin}
-	}
-	if c >= n {
-		// ρ(s, c) = s when |s| ≤ c: nothing to merge.
-		out := seq.Clone()
-		return &DPResult{Sequence: out, C: n}, nil
-	}
-	st := newDPState(kn, opts, pruneI, pruneJ, true)
-	var finalErr float64
-	for k := 1; k <= c; k++ {
-		if finalErr, err = st.fillRow(k); err != nil {
-			return nil, err
-		}
-	}
-	rows := st.reconstruct(c)
-	return &DPResult{
-		Sequence: seq.WithRows(rows),
-		C:        c,
-		Error:    finalErr,
-		Stats:    st.stats,
-	}, nil
+	pruneI, pruneJ := mode.bounds()
+	return NewKernelSolver(kn, opts, pruneI, pruneJ).Solve(opts.Ctx, b)
+}
+
+// PTAcAblation evaluates size-bounded PTA with an explicit pruning mode. All
+// modes return the same optimal reduction; they differ only in the work
+// counted by Stats and in runtime.
+func PTAcAblation(seq *temporal.Sequence, c int, opts Options, mode PruneMode) (*DPResult, error) {
+	return solve(seq, SizeBudget(c), opts, mode)
 }
 
 // PTAc evaluates size-bounded PTA exactly (Definition 6, algorithm of
@@ -353,7 +325,7 @@ func runSizeBoundedMode(seq *temporal.Sequence, c int, opts Options, pruneI, pru
 // fills; space is O(n·c) either way. With temporal gaps and aggregation
 // groups the Section 5.3 bounds prune most cells.
 func PTAc(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
-	return runSizeBounded(seq, c, opts, true)
+	return solve(seq, SizeBudget(c), opts, PruneBoth)
 }
 
 // DPBasic evaluates size-bounded PTA with the basic dynamic-programming
@@ -361,7 +333,7 @@ func PTAc(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
 // pruning. It returns the same result as PTAc and exists as the baseline of
 // the performance experiments (Figs. 18 and 19).
 func DPBasic(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
-	return runSizeBounded(seq, c, opts, false)
+	return solve(seq, SizeBudget(c), opts, PruneNone)
 }
 
 // PTAe evaluates error-bounded PTA exactly (Definition 7, algorithm of
@@ -369,57 +341,14 @@ func DPBasic(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
 // introduces at most eps·SSEmax error, 0 ≤ eps ≤ 1, and returns that optimal
 // reduction.
 func PTAe(seq *temporal.Sequence, eps float64, opts Options) (*DPResult, error) {
-	return runErrorBoundedMode(seq, eps, opts, true, true)
+	return solve(seq, ErrorBudget(eps), opts, PruneBoth)
 }
 
 // PTAeAblation evaluates error-bounded PTA with an explicit pruning mode,
 // mirroring PTAcAblation: every mode returns the same minimal-size optimal
 // reduction and differs only in the work counted by Stats.
 func PTAeAblation(seq *temporal.Sequence, eps float64, opts Options, mode PruneMode) (*DPResult, error) {
-	return runErrorBoundedMode(seq, eps, opts, mode == PruneIMax || mode == PruneBoth,
-		mode == PruneJMin || mode == PruneBoth)
-}
-
-// DPBasicError evaluates error-bounded PTA with the basic dynamic-programming
-// scheme (no gap/group pruning) — the error-bounded counterpart of DPBasic,
-// used as the baseline of the performance experiments.
-func DPBasicError(seq *temporal.Sequence, eps float64, opts Options) (*DPResult, error) {
-	return runErrorBoundedMode(seq, eps, opts, false, false)
-}
-
-func runErrorBoundedMode(seq *temporal.Sequence, eps float64, opts Options, pruneI, pruneJ bool) (*DPResult, error) {
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("core: error bound %v outside [0, 1]", eps)
-	}
-	n := seq.Len()
-	if n == 0 {
-		return &DPResult{Sequence: seq.WithRows(nil), C: 0}, nil
-	}
-	kn, err := NewKernel(seq, opts)
-	if err != nil {
-		return nil, err
-	}
-	maxErr := kn.MaxError()
-	bound := acceptErrorBound(eps*maxErr, maxErr)
-	st := newDPState(kn, opts, pruneI, pruneJ, true)
-	for k := 1; k <= n; k++ {
-		e, err := st.fillRow(k)
-		if err != nil {
-			return nil, err
-		}
-		if e <= bound {
-			rows := st.reconstruct(k)
-			return &DPResult{
-				Sequence: seq.WithRows(rows),
-				C:        k,
-				Error:    e,
-				Stats:    st.stats,
-			}, nil
-		}
-	}
-	// E[n][n] = 0 ≤ bound always triggers; reaching this point means the
-	// matrix filling is broken.
-	panic("core: error-bounded DP did not terminate")
+	return solve(seq, ErrorBudget(eps), opts, mode)
 }
 
 // Matrices runs the pruned DP for k = 1..c and returns copies of the error
@@ -438,8 +367,8 @@ func Matrices(seq *temporal.Sequence, c int, opts Options) ([][]float64, [][]int
 	}
 	// The split rows leave the function, so they must not come from a
 	// caller-provided Scratch (whose rows are reused by the next call).
+	opts.Scratch = nil
 	st := newDPState(kn, opts, true, true, true)
-	st.ownSplits = true
 	em := make([][]float64, c)
 	for k := 1; k <= c; k++ {
 		if _, err := st.fillRow(k); err != nil {

@@ -133,7 +133,7 @@ func TestFillPropEnvelopeMixedShapes(t *testing.T) {
 		if !assertMixedShape(t, kn) {
 			return false
 		}
-		if kn.MonotoneRuns() {
+		if len(kn.MonotoneSegments()) == kn.CMin() {
 			t.Errorf("seed %d: mixed shape certified fully monotone", seed)
 			return false
 		}

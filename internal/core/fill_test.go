@@ -96,7 +96,6 @@ func tieSequence(rng *rand.Rand, n, p int, gapProb float64) *CostKernel {
 func fillMatrices(t *testing.T, kn *CostKernel, opts Options, pruneI, pruneJ bool, c int) ([][]float64, [][]int32) {
 	t.Helper()
 	st := newDPState(kn, opts, pruneI, pruneJ, true)
-	st.ownSplits = true
 	em := make([][]float64, c)
 	for k := 1; k <= c; k++ {
 		if _, err := st.fillRow(k); err != nil {
@@ -151,7 +150,7 @@ func TestFillPropBitwiseIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !kn.MonotoneRuns() {
+		if len(kn.MonotoneSegments()) != kn.CMin() {
 			t.Fatalf("seed %d: monotoneSequence not certified", seed)
 		}
 		c := 1 + rng.Intn(n)
@@ -186,7 +185,7 @@ func TestFillPropBitwiseIdenticalOnTies(t *testing.T) {
 		n := 3 + rng.Intn(30)
 		p := 1 + rng.Intn(2)
 		kn := tieSequence(rng, n, p, []float64{0, 0.25}[rng.Intn(2)])
-		if !kn.MonotoneRuns() {
+		if len(kn.MonotoneSegments()) != kn.CMin() {
 			t.Fatalf("seed %d: tieSequence not certified", seed)
 		}
 		c := 1 + rng.Intn(n)
@@ -444,7 +443,7 @@ func TestFillSMAWKExtremeWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !kn.MonotoneRuns() {
+	if len(kn.MonotoneSegments()) != kn.CMin() {
 		t.Fatal("ramp not certified")
 	}
 	// The full matrices must stay bitwise identical even with saturated
@@ -483,7 +482,7 @@ func TestFillAutoKeepsAblationScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !kn.MonotoneRuns() {
+	if len(kn.MonotoneSegments()) != kn.CMin() {
 		t.Fatal("workload not certified")
 	}
 	for _, flags := range [][2]bool{{false, false}, {true, false}, {false, true}} {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,10 +26,10 @@ import (
 // O(np) time and space (the slabs come from Options.Scratch when one is
 // provided); in the paper this work is folded into the ITA scan.
 //
-// One kernel serves any number of row fills over the same sequence — the DP
-// evaluators, DPMulti, the incremental Solver and the parallel run curves
-// all draw their merge costs from here, so the cost arithmetic exists
-// exactly once.
+// One kernel serves any number of row fills over the same sequence — every
+// Solver (one-shot, multi-budget or retained) and the run front's
+// recombination draw their merge costs from here, so the cost arithmetic
+// exists exactly once.
 type CostKernel struct {
 	seq  *temporal.Sequence
 	n, p int
@@ -40,9 +41,9 @@ type CostKernel struct {
 
 	// Piecewise-monotone certification (MonotoneSegments), computed at most
 	// once. The sync.Once makes lazy certification safe when one kernel is
-	// shared across goroutines (DPMultiKernel serves every plan group of a
-	// CompressMany from a single kernel; retained Solver kernels live in
-	// caches): after the Once completes, monoSegs and monoCov are immutable.
+	// shared across goroutines (one kernel serves every plan group of a
+	// CompressMany; retained Solver kernels live in caches): after the Once
+	// completes, monoSegs and monoCov are immutable.
 	monoOnce sync.Once
 	monoSegs []int32 // ascending 1-based segment start positions; nil until computed
 	monoCov  float64 // fraction of rows in dispatch-eligible segments; set with monoSegs
@@ -94,7 +95,40 @@ func NewKernel(seq *temporal.Sequence, opts Options) (*CostKernel, error) {
 			kn.ss[d*stride+i] = kn.ss[d*stride+i-1] + length*v*v
 		}
 	}
+	if err := kn.checkDomain(); err != nil {
+		return nil, err
+	}
 	return kn, nil
+}
+
+// checkDomain rejects input the merge-cost arithmetic cannot represent,
+// once per kernel so no evaluator ever sees it: NaN or infinite values,
+// length-weighted square sums Σ|T|·v² that overflow, and squared weights
+// that overflow (∞·0 would turn a zero merge cost into NaN). A run's
+// squared value sum (Σ|T|·v)² is at most Σ|T| times its square sum
+// (Cauchy–Schwarz), so requiring Σ|T|·Σ|T|·v² to stay finite keeps every
+// prefix sum, MergeRange mean and unweighted merge cost finite. Weighted
+// costs may still saturate to +Inf under huge weights; the fills handle
+// +Inf cells consistently. A NaN or infinite value makes its dimension's
+// bound non-finite, so the bounds alone decide; the offending value is
+// located only to name it.
+func (kn *CostKernel) checkDomain() error {
+	stride := kn.n + 1
+	length := float64(kn.l[kn.n])
+	for d := 0; d < kn.p; d++ {
+		if math.IsInf(kn.w2[d], 1) {
+			return fmt.Errorf("%w: weight %d squared overflows float64", ErrNumericDomain, d)
+		}
+		if ss := kn.ss[d*stride+kn.n]; !(ss*length <= math.MaxFloat64) {
+			for i, row := range kn.seq.Rows {
+				if v := row.Aggs[d]; math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("%w: row %d attribute %d is %v", ErrNumericDomain, i+1, d, v)
+				}
+			}
+			return fmt.Errorf("%w: the length-weighted square sum of attribute %d overflows float64", ErrNumericDomain, d)
+		}
+	}
+	return nil
 }
 
 // N returns the sequence size n.
@@ -375,25 +409,12 @@ func (kn *CostKernel) rangeErr() func(i, j int) float64 {
 // pruned scan over the out-of-segment candidates (see fill.go).
 //
 // The segmentation is computed at most once per kernel under a sync.Once,
-// so, unlike most kernel methods, MonotoneSegments (and MonotoneRuns /
-// MonotoneCoverage) is safe to call from concurrent goroutines sharing one
-// kernel. Callers must not mutate the returned slice.
+// so, unlike most kernel methods, MonotoneSegments (and MonotoneCoverage)
+// is safe to call from concurrent goroutines sharing one kernel. Callers
+// must not mutate the returned slice.
 func (kn *CostKernel) MonotoneSegments() []int32 {
 	kn.monoOnce.Do(kn.computeSegments)
 	return kn.monoSegs
-}
-
-// MonotoneRuns reports whether every maximal gap-free run is monotone in
-// every dimension as a whole — the shape of cumulative counters and other
-// accumulating series, and the strongest certificate: the monotone row
-// fills then apply to entire rows. Equivalent to the piecewise segmentation
-// having exactly one segment per run.
-func (kn *CostKernel) MonotoneRuns() bool {
-	kn.monoOnce.Do(kn.computeSegments)
-	if kn.n == 0 {
-		return true
-	}
-	return len(kn.monoSegs) == len(kn.gaps)+1
 }
 
 // MonotoneCoverage reports the fraction of rows lying inside monotone

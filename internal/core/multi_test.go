@@ -6,31 +6,43 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/temporal"
 )
 
-// TestDPMultiMatchesSingle: one shared matrix pass serves every budget with
-// the same result as independent PTAc/PTAe evaluations.
+// solveAll is the serial multi-budget pass: one one-shot Solver over a
+// fresh kernel answers every budget.
+func solveAll(seq *temporal.Sequence, budgets []Budget, opts Options) ([]*DPResult, error) {
+	kn, err := NewKernel(seq, opts)
+	if err != nil {
+		return nil, err
+	}
+	return NewKernelSolver(kn, opts, true, true).SolveAll(opts.Ctx, budgets)
+}
+
+// TestDPMultiMatchesSingle: one shared matrix pass (Solver.SolveAll) serves
+// every budget with the same result as independent PTAc/PTAe evaluations.
 func TestDPMultiMatchesSingle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		seq := randomSequence(rng, 2+rng.Intn(40), 1+rng.Intn(2), 0.3)
 		cmin := seq.CMin()
 		n := seq.Len()
-		budgets := []MultiBudget{
-			{C: cmin},
-			{C: cmin + rng.Intn(n-cmin+1)},
-			{C: n},
-			{Eps: 0},
-			{Eps: rng.Float64()},
-			{Eps: 1},
+		budgets := []Budget{
+			SizeBudget(cmin),
+			SizeBudget(cmin + rng.Intn(n-cmin+1)),
+			SizeBudget(n),
+			ErrorBudget(0),
+			ErrorBudget(rng.Float64()),
+			ErrorBudget(1),
 		}
-		results, err := DPMulti(seq, budgets, Options{}, true, true)
+		results, err := solveAll(seq, budgets, Options{})
 		if err != nil {
 			return false
 		}
 		for i, b := range budgets {
 			var want *DPResult
-			if b.C > 0 {
+			if !b.ErrorBound {
 				want, err = PTAc(seq, b.C, Options{})
 			} else {
 				want, err = PTAe(seq, b.Eps, Options{})
@@ -57,7 +69,7 @@ func TestDPMultiMatchesSingle(t *testing.T) {
 // the typed error.
 func TestDPMultiInfeasible(t *testing.T) {
 	seq := figure1c()
-	_, err := DPMulti(seq, []MultiBudget{{C: seq.CMin() - 1}}, Options{}, true, true)
+	_, err := solveAll(seq, []Budget{SizeBudget(seq.CMin() - 1)}, Options{})
 	var inf *InfeasibleSizeError
 	if err == nil || !asInfeasible(err, &inf) {
 		t.Fatalf("want InfeasibleSizeError, got %v", err)
@@ -124,8 +136,8 @@ func TestDPCancellation(t *testing.T) {
 	if _, err := PTAcParallel(seq, 40, Options{Ctx: ctx}, 2); err == nil {
 		t.Errorf("PTAcParallel under canceled ctx: %v", err)
 	}
-	if _, err := DPMulti(seq, []MultiBudget{{C: 40}}, Options{Ctx: ctx}, true, true); err == nil {
-		t.Errorf("DPMulti under canceled ctx: %v", err)
+	if _, err := solveAll(seq, []Budget{SizeBudget(40)}, Options{Ctx: ctx}); err == nil {
+		t.Errorf("multi-budget Solver under canceled ctx: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/temporal"
 )
 
@@ -30,9 +31,9 @@ func bitIdenticalRows(a, b *temporal.Sequence) bool {
 	return true
 }
 
-// TestDPMultiParallelMatchesSingleBudget: one shared-curve pass answers a
-// mixed batch of size and error budgets bit-identically to running
-// PTAcParallel/PTAeParallel per budget — the amortization changes cost,
+// TestDPMultiParallelMatchesSingleBudget: one shared-curve pass of the run
+// front (SolveParallel) answers a mixed batch of size and error budgets
+// bit-identically to running PTAcParallel/PTAeParallel per budget — the amortization changes cost,
 // never results.
 func TestDPMultiParallelMatchesSingleBudget(t *testing.T) {
 	f := func(seed int64) bool {
@@ -40,21 +41,21 @@ func TestDPMultiParallelMatchesSingleBudget(t *testing.T) {
 		seq := randomSequence(rng, 2+rng.Intn(40), 1+rng.Intn(2), 0.3)
 		cmin := seq.CMin()
 		n := seq.Len()
-		budgets := []MultiBudget{
-			{C: cmin},
-			{C: cmin + rng.Intn(n-cmin+1)},
-			{C: n},
-			{Eps: 0},
-			{Eps: rng.Float64()},
-			{Eps: 1},
+		budgets := []Budget{
+			SizeBudget(cmin),
+			SizeBudget(cmin + rng.Intn(n-cmin+1)),
+			SizeBudget(n),
+			ErrorBudget(0),
+			ErrorBudget(rng.Float64()),
+			ErrorBudget(1),
 		}
-		got, err := DPMultiParallel(seq, budgets, Options{}, 3)
+		got, err := SolveParallel(seq, budgets, Options{}, 3)
 		if err != nil {
 			return false
 		}
 		for i, b := range budgets {
 			var want *DPResult
-			if b.C > 0 {
+			if !b.ErrorBound {
 				want, err = PTAcParallel(seq, b.C, Options{}, 2)
 			} else {
 				want, err = PTAeParallel(seq, b.Eps, Options{}, 2)
@@ -79,8 +80,8 @@ func TestDPMultiParallelMatchesSingleBudget(t *testing.T) {
 	}
 }
 
-// TestDPMultiParallelAgreesWithSerialMulti: the parallel multi-budget pass
-// optimizes the same objective as the serial one — equal optimal errors and
+// TestDPMultiParallelAgreesWithSerialMulti: the run front's multi-budget
+// pass optimizes the same objective as the serial Solver's — equal optimal errors and
 // sizes on random gapped inputs.
 func TestDPMultiParallelAgreesWithSerialMulti(t *testing.T) {
 	f := func(seed int64) bool {
@@ -88,15 +89,15 @@ func TestDPMultiParallelAgreesWithSerialMulti(t *testing.T) {
 		seq := randomSequence(rng, 2+rng.Intn(30), 1+rng.Intn(2), 0.25)
 		cmin := seq.CMin()
 		n := seq.Len()
-		budgets := []MultiBudget{
-			{C: cmin + rng.Intn(n-cmin+1)},
-			{Eps: rng.Float64()},
+		budgets := []Budget{
+			SizeBudget(cmin + rng.Intn(n-cmin+1)),
+			ErrorBudget(rng.Float64()),
 		}
-		got, err := DPMultiParallel(seq, budgets, Options{}, 4)
+		got, err := SolveParallel(seq, budgets, Options{}, 4)
 		if err != nil {
 			return false
 		}
-		want, err := DPMulti(seq, budgets, Options{}, true, true)
+		want, err := solveAll(seq, budgets, Options{})
 		if err != nil {
 			return false
 		}
@@ -126,12 +127,12 @@ func TestDPMultiParallelSharedCurveStats(t *testing.T) {
 	seq := randomSequence(rng, 40, 1, 0.3)
 	cmin := seq.CMin()
 	n := seq.Len()
-	one, err := DPMultiParallel(seq, []MultiBudget{{C: n - 1}}, Options{}, 2)
+	one, err := SolveParallel(seq, []Budget{SizeBudget(n - 1)}, Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgets := []MultiBudget{{C: n - 1}, {C: cmin}, {C: (cmin + n) / 2}, {C: cmin + 1}}
-	many, err := DPMultiParallel(seq, budgets, Options{}, 2)
+	budgets := []Budget{SizeBudget(n - 1), SizeBudget(cmin), SizeBudget((cmin + n) / 2), SizeBudget(cmin + 1)}
+	many, err := SolveParallel(seq, budgets, Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,24 +148,57 @@ func TestDPMultiParallelSharedCurveStats(t *testing.T) {
 		t.Errorf("batch of %d budgets filled %d cells, single deepest budget %d — curves not shared",
 			len(budgets), many[0].Stats.Cells, one[0].Stats.Cells)
 	}
+
+	// The shared stats are the whole DPStats of the run solvers, envelope
+	// skips included: on mixed-shape runs long enough for the monotone fill
+	// they equal the sum of the per-run PTAc stats at the truncated depth.
+	mixed, err := dataset.Mixed(2, 300, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const c = 24
+	par, err := PTAcParallel(mixed, c, Options{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kn, err := NewKernel(mixed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum DPStats
+	lo := 1
+	for _, hi := range append(append([]int(nil), kn.Gaps()...), kn.N()) {
+		run := mixed.WithRows(mixed.Rows[lo-1 : hi])
+		res, err := PTAc(run, min(hi-lo+1, c-kn.CMin()+1), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Cells += res.Stats.Cells
+		sum.InnerIters += res.Stats.InnerIters
+		sum.EnvelopeSkips += res.Stats.EnvelopeSkips
+		lo = hi + 1
+	}
+	if par.Stats.EnvelopeSkips == 0 || par.Stats != sum {
+		t.Errorf("PTAcParallel stats %+v, want the per-run sum %+v with envelope skips", par.Stats, sum)
+	}
 }
 
-// TestDPMultiParallelValidation mirrors the serial multi-budget argument
+// TestDPMultiParallelValidation mirrors the serial Solver's argument
 // checks: infeasible sizes and out-of-range bounds fail up front.
 func TestDPMultiParallelValidation(t *testing.T) {
 	seq := figure1c()
-	if _, err := DPMultiParallel(seq, []MultiBudget{{C: 2}}, Options{}, 2); err == nil {
+	if _, err := SolveParallel(seq, []Budget{SizeBudget(2)}, Options{}, 2); err == nil {
 		t.Error("c below cmin should fail")
 	}
-	if _, err := DPMultiParallel(seq, []MultiBudget{{Eps: 1.5}}, Options{}, 2); err == nil {
+	if _, err := SolveParallel(seq, []Budget{ErrorBudget(1.5)}, Options{}, 2); err == nil {
 		t.Error("eps above 1 should fail")
 	}
-	res, err := DPMultiParallel(seq, []MultiBudget{{C: seq.Len()}, {Eps: 0.2}}, Options{}, 2)
+	res, err := SolveParallel(seq, []Budget{SizeBudget(seq.Len()), ErrorBudget(0.2)}, Options{}, 2)
 	if err != nil || res[0].C != seq.Len() {
 		t.Errorf("c = n: %+v, %v", res, err)
 	}
 	empty := seq.WithRows(nil)
-	eres, err := DPMultiParallel(empty, []MultiBudget{{Eps: 0.5}}, Options{}, 2)
+	eres, err := SolveParallel(empty, []Budget{ErrorBudget(0.5)}, Options{}, 2)
 	if err != nil || eres[0].C != 0 {
 		t.Errorf("empty relation: %+v, %v", eres, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -14,8 +15,7 @@ import (
 // that never interact, so
 //
 //  1. each run's optimal error curve can be computed independently (and
-//     concurrently — a bounded worker pool with per-run scratch
-//     buffers), and
+//     concurrently — a bounded worker pool of per-run Solvers), and
 //  2. the global optimum is an allocation of the size budget c over the
 //     runs, found by a small dynamic program over run curves:
 //
@@ -29,65 +29,203 @@ import (
 // behind pta.Engine's WithParallelism. The paper's evaluation is
 // single-threaded; this is an engineering extension, reported by the
 // `parallel` and `engine` experiments.
-//
-// PTAcParallel serves size budgets; PTAeParallel computes full run curves
-// and picks the smallest total size whose optimal error fits eps·SSEmax;
-// DPMultiParallel (multiparallel.go) serves several budgets from one set of
-// run curves. AllocateCurves/SplitAllocation/AcceptErrorBound export the
-// recombination rules so distributed coordinators that gather run curves
-// from remote workers recombine them with exactly the in-process
-// tie-breaks.
 
-// runCurve is one maximal adjacent run with its reduction error curve and
-// the split matrices needed to reconstruct any reduction size. The DP fill
-// state is retained across computeCurves rounds, so iterative deepening and
-// multi-budget evaluation extend a curve row by row instead of recomputing
-// it from scratch.
-type runCurve struct {
-	lo, hi int // 1-based row bounds of the run, inclusive
-	curve  []float64
-	splits [][]int32
+// SolveRuns is the one multi-run driver: it answers every budget from the
+// per-run error curves src supplies, whether in-process Solvers
+// (SolveParallel) or a remote fleet (internal/dist). Size budgets need each
+// run's curve only up to c−R+1 rows for R runs (every other run keeps ≥ 1
+// tuple), so src is deepened exactly that far. Error budgets deepen
+// iteratively from a total size of R+63 (at most n), doubling: a total size
+// of K needs curves up to K−R+1 only, so loose bounds that stop at small K
+// never pay for full curves, and the geometric growth bounds the total work
+// at a small constant of the final round's. The allocation DP over the curves yields
+// the optimal error of every total size; each budget takes its size (the
+// smallest whose error fits eps·SSEmax, for error bounds), the allocation
+// splits it over the runs, and src reports the row ranges each run merges.
+// Rows are merged on the global kernel kn, so every source produces
+// bit-identical results. Every result carries the stats of the whole pass.
+func SolveRuns(ctx context.Context, kn *CostKernel, src RunSource, budgets []Budget) ([]*DPResult, error) {
+	n := kn.N()
+	targetK, pending := 0, 0
+	accept := make([]float64, len(budgets)) // error budgets: acceptance threshold
+	maxErr := kn.MaxError()
+	for i, b := range budgets {
+		if err := checkBudget(kn, b); err != nil {
+			return nil, err
+		}
+		switch {
+		case b.ErrorBound && n > 0:
+			accept[i] = acceptErrorBound(b.Eps*maxErr, maxErr)
+			pending++
+		case !b.ErrorBound && b.C < n:
+			targetK = max(targetK, b.C)
+		}
+	}
 
-	st *dpState // retained fill state; owns private buffers
+	R := kn.CMin()
+	K := targetK
+	if pending > 0 {
+		// Coexisting size budgets only ever raise K, never change which k
+		// first fits a bound.
+		K = max(K, min(n, R+63))
+	}
+	reached := make([]int, len(budgets)) // error budgets: resolved size; 0 = pending
+	var final []float64
+	var choice [][]int32
+	for K > 0 {
+		if err := src.Deepen(ctx, K-R+1); err != nil {
+			return nil, err
+		}
+		final, choice = AllocateCurves(src.Curves(), K)
+		for i, b := range budgets {
+			if !b.ErrorBound || reached[i] != 0 {
+				continue
+			}
+			for k := R; k <= K; k++ {
+				if final[k] <= accept[i] {
+					// Curves cover every size ≤ K, so k is the exact minimum.
+					reached[i] = k
+					pending--
+					break
+				}
+			}
+		}
+		if pending == 0 {
+			break
+		}
+		if K == n {
+			// A[n] = 0 meets every bound unless a source reported a
+			// broken curve.
+			return nil, fmt.Errorf("core: error bound not reached at full size %d", n)
+		}
+		K = min(n, 2*K)
+	}
+
+	stats := src.Stats()
+	results := make([]*DPResult, len(budgets))
+	for i, b := range budgets {
+		k := b.C
+		if b.ErrorBound {
+			k = reached[i]
+		} else if k >= n {
+			// ρ(s, c) = s when |s| ≤ c: nothing to merge.
+			results[i] = &DPResult{Sequence: kn.Sequence().Clone(), C: n, Stats: stats}
+			continue
+		}
+		if k == 0 {
+			// An error bound over the empty relation.
+			results[i] = &DPResult{Sequence: kn.Sequence().WithRows(nil), Stats: stats}
+			continue
+		}
+		alloc, err := splitAllocation(choice, k)
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]temporal.SeqRow, 0, k)
+		for r, a := range alloc {
+			base := len(rows)
+			rows = rows[:base+a]
+			src.Ranges(r, a, func(t, first, last int) { rows[base+t] = kn.MergeRange(first, last) })
+		}
+		results[i] = &DPResult{Sequence: kn.Sequence().WithRows(rows), C: k, Error: final[k], Stats: stats}
+	}
+	return results, nil
 }
 
-// decomposeRuns cuts the relation into its maximal adjacent runs.
-func decomposeRuns(kn *CostKernel) []*runCurve {
-	var runs []*runCurve
+// RunSource supplies per-run error curves to SolveRuns for the maximal
+// adjacent runs of the kernel's input, in order.
+type RunSource interface {
+	// Deepen extends every run's curve to at least min(run length, kcap)
+	// sizes.
+	Deepen(ctx context.Context, kcap int) error
+	// Curves returns the per-run curves: curves[r][k−1] is the minimal
+	// error of reducing run r to k tuples.
+	Curves() [][]float64
+	// Ranges reports the tuples t = 0..k−1 of run r's optimal k-tuple
+	// reduction as global 1-based inclusive row ranges, in any order.
+	Ranges(r, k int, emit func(t, first, last int))
+	// Stats reports the fill work behind the curves so far.
+	Stats() DPStats
+}
+
+// SolveParallel answers budgets with the run decomposition on workers
+// goroutines (0 = GOMAXPROCS): one one-shot Solver per run, deepened on a
+// bounded worker pool, recombined by SolveRuns. The caller's Scratch serves
+// the global kernel only; the run solvers own their buffers, since they
+// outlive each deepening round and may move between goroutines.
+func SolveParallel(seq *temporal.Sequence, budgets []Budget, opts Options, workers int) ([]*DPResult, error) {
+	kn, err := NewKernel(seq, opts)
+	if err != nil {
+		return nil, err
+	}
+	opts.Scratch = nil
+	src := &runSolvers{seq: seq, opts: opts, workers: workers}
 	lo := 1
-	for _, g := range kn.gaps {
-		runs = append(runs, &runCurve{lo: lo, hi: g})
+	for _, g := range kn.Gaps() {
+		src.lo, src.hi = append(src.lo, lo), append(src.hi, g)
 		lo = g + 1
 	}
-	runs = append(runs, &runCurve{lo: lo, hi: kn.n})
-	return runs
+	src.lo, src.hi = append(src.lo, lo), append(src.hi, kn.N())
+	src.svs = make([]*Solver, len(src.lo))
+	return SolveRuns(opts.Ctx, kn, src, budgets)
 }
 
-// computeCurves fills every run's error curve up to min(run length, kcap) on
-// a pool of workers goroutines (0 = GOMAXPROCS). Curves that are already
-// long enough are untouched; shorter ones extend from their retained DP
-// state, so deepening rounds and multi-budget passes pay only for the new
-// rows. Each run owns a private Scratch, so the caller's Options.Scratch is
-// never shared across goroutines.
-func computeCurves(seq *temporal.Sequence, runs []*runCurve, kcap int, opts Options, workers int) error {
+// PTAcParallel evaluates size-bounded PTA exactly, decomposing the work
+// over maximal adjacent runs and computing run curves on workers goroutines
+// (0 = GOMAXPROCS). It returns the same optimal reduction as PTAc.
+func PTAcParallel(seq *temporal.Sequence, c int, opts Options, workers int) (*DPResult, error) {
+	return solveParallelOne(seq, SizeBudget(c), opts, workers)
+}
+
+// PTAeParallel evaluates error-bounded PTA exactly with the same run
+// decomposition: the smallest total size whose optimal error fits
+// eps·SSEmax wins — the same minimization as PTAe (Definition 7), parallel
+// over runs.
+func PTAeParallel(seq *temporal.Sequence, eps float64, opts Options, workers int) (*DPResult, error) {
+	return solveParallelOne(seq, ErrorBudget(eps), opts, workers)
+}
+
+func solveParallelOne(seq *temporal.Sequence, b Budget, opts Options, workers int) (*DPResult, error) {
+	res, err := SolveParallel(seq, []Budget{b}, opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// runSolvers is the in-process RunSource: one Solver per maximal adjacent
+// run over the run's own kernel, built on first use and extended in place
+// by later deepening rounds.
+type runSolvers struct {
+	seq     *temporal.Sequence
+	opts    Options // no Scratch: the solvers outlive every round
+	workers int
+	lo, hi  []int // 1-based row bounds of each run, inclusive
+	svs     []*Solver
+}
+
+// Deepen extends every run's solver to min(run length, kcap) rows on a
+// pool of workers goroutines. Solvers already that deep are untouched.
+func (rs *runSolvers) Deepen(ctx context.Context, kcap int) error {
+	workers := rs.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(runs))
+	workers = min(workers, len(rs.svs))
 	jobs := make(chan int)
-	errs := make([]error, len(runs))
+	errs := make([]error, len(rs.svs))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				errs[i] = runs[i].extend(seq, kcap, opts)
+			for r := range jobs {
+				errs[r] = rs.deepen(ctx, r, kcap)
 			}
 		}()
 	}
-	for i := range runs {
-		jobs <- i
+	for r := range rs.svs {
+		jobs <- r
 	}
 	close(jobs)
 	wg.Wait()
@@ -99,14 +237,37 @@ func computeCurves(seq *temporal.Sequence, runs []*runCurve, kcap int, opts Opti
 	return nil
 }
 
-// curveStats sums the DP fill counters across runs — the aggregate cost of
-// the curves backing one parallel evaluation.
-func curveStats(runs []*runCurve) DPStats {
+func (rs *runSolvers) deepen(ctx context.Context, r, kcap int) error {
+	if rs.svs[r] == nil {
+		kn, err := NewKernel(rs.seq.WithRows(rs.seq.Rows[rs.lo[r]-1:rs.hi[r]]), rs.opts)
+		if err != nil {
+			return err
+		}
+		rs.svs[r] = NewKernelSolver(kn, rs.opts, true, true)
+	}
+	return rs.svs[r].Deepen(ctx, kcap)
+}
+
+func (rs *runSolvers) Curves() [][]float64 {
+	curves := make([][]float64, len(rs.svs))
+	for r, sv := range rs.svs {
+		curves[r] = sv.rowErr[1 : sv.filled+1]
+	}
+	return curves
+}
+
+func (rs *runSolvers) Ranges(r, k int, emit func(t, first, last int)) {
+	off := rs.lo[r] - 1
+	rs.svs[r].st.backtrack(k, func(t, first, last int) { emit(t, off+first, off+last) })
+}
+
+func (rs *runSolvers) Stats() DPStats {
 	var st DPStats
-	for _, rc := range runs {
-		if rc.st != nil {
-			st.Cells += rc.st.stats.Cells
-			st.InnerIters += rc.st.stats.InnerIters
+	for _, sv := range rs.svs {
+		if sv != nil {
+			st.Cells += sv.st.stats.Cells
+			st.InnerIters += sv.st.stats.InnerIters
+			st.EnvelopeSkips += sv.st.stats.EnvelopeSkips
 		}
 	}
 	return st
@@ -117,9 +278,7 @@ func curveStats(runs []*runCurve) DPStats {
 // taking the smallest j on ties (strict improvement only). It returns the
 // final row (the minimal total error of reducing the whole relation to k
 // tuples; Inf where infeasible) and the per-run choice matrices consumed by
-// SplitAllocation. Exported so distributed coordinators that gather run
-// curves from remote workers recombine them with exactly the in-process
-// tie-breaks.
+// splitAllocation. SolveRuns recombines every source's curves through it.
 func AllocateCurves(curves [][]float64, kmax int) (final []float64, choice [][]int32) {
 	const unset = -1
 	prev := make([]float64, kmax+1)
@@ -154,10 +313,10 @@ func AllocateCurves(curves [][]float64, kmax int) (final []float64, choice [][]i
 	return prev, choice
 }
 
-// SplitAllocation walks the choice matrices of AllocateCurves backwards from
+// splitAllocation walks the choice matrices of AllocateCurves backwards from
 // a total size k and returns how many tuples each run receives (the entries
 // sum to k).
-func SplitAllocation(choice [][]int32, k int) ([]int, error) {
+func splitAllocation(choice [][]int32, k int) ([]int, error) {
 	const unset = -1
 	alloc := make([]int, len(choice))
 	for r := len(choice) - 1; r >= 0; r-- {
@@ -169,182 +328,4 @@ func SplitAllocation(choice [][]int32, k int) ([]int, error) {
 		k -= j
 	}
 	return alloc, nil
-}
-
-// AcceptErrorBound widens an error-budget acceptance threshold by the
-// relative-and-absolute tolerance every error-bounded evaluator in this
-// package applies, so "the error fits the bound" means the same thing
-// in-process and across a wire.
-func AcceptErrorBound(bound, maxErr float64) float64 {
-	return acceptErrorBound(bound, maxErr)
-}
-
-// allocateRuns is AllocateCurves over the runs' own curves.
-func allocateRuns(runs []*runCurve, kmax int) (final []float64, choice [][]int32) {
-	curves := make([][]float64, len(runs))
-	for r, rc := range runs {
-		curves[r] = rc.curve
-	}
-	return AllocateCurves(curves, kmax)
-}
-
-// reconstructRuns walks the choice matrices backwards from a total size k
-// and expands each run's own splits into rows.
-func reconstructRuns(kn *CostKernel, runs []*runCurve, choice [][]int32, k int) ([]temporal.SeqRow, error) {
-	alloc, err := SplitAllocation(choice, k)
-	if err != nil {
-		return nil, err
-	}
-	var rows []temporal.SeqRow
-	for r, rc := range runs {
-		rows = append(rows, rc.reconstruct(kn, alloc[r])...)
-	}
-	return rows, nil
-}
-
-// PTAcParallel evaluates size-bounded PTA exactly, decomposing the work
-// over maximal adjacent runs and computing run curves on workers goroutines
-// (0 = GOMAXPROCS). It returns the same optimal reduction as PTAc.
-func PTAcParallel(seq *temporal.Sequence, c int, opts Options, workers int) (*DPResult, error) {
-	n := seq.Len()
-	if n == 0 {
-		if c != 0 {
-			return nil, fmt.Errorf("core: size bound %d for an empty relation", c)
-		}
-		return &DPResult{Sequence: seq.WithRows(nil), C: 0}, nil
-	}
-	kn, err := NewKernel(seq, opts)
-	if err != nil {
-		return nil, err
-	}
-	cmin := kn.CMin()
-	if c < cmin {
-		return nil, &InfeasibleSizeError{C: c, CMin: cmin}
-	}
-	if c >= n {
-		return &DPResult{Sequence: seq.Clone(), C: n}, nil
-	}
-
-	runs := decomposeRuns(kn)
-	// A total size of c leaves any single run at most c−R+1 tuples (every
-	// other run keeps ≥ 1), so longer per-run curves can never be chosen —
-	// the same truncation the error-bounded deepening relies on.
-	if err := computeCurves(seq, runs, c-len(runs)+1, opts, workers); err != nil {
-		return nil, err
-	}
-	final, choice := allocateRuns(runs, c)
-	rows, err := reconstructRuns(kn, runs, choice, c)
-	if err != nil {
-		return nil, err
-	}
-	return &DPResult{
-		Sequence: seq.WithRows(rows),
-		C:        c,
-		Error:    final[c],
-		Stats:    curveStats(runs),
-	}, nil
-}
-
-// PTAeParallel evaluates error-bounded PTA exactly with the same run
-// decomposition: every run's full error curve is computed concurrently, the
-// combination DP yields the optimal error for every total size, and the
-// smallest size whose error fits eps·SSEmax wins — the same minimization as
-// PTAe (Definition 7), parallel over runs.
-func PTAeParallel(seq *temporal.Sequence, eps float64, opts Options, workers int) (*DPResult, error) {
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("core: error bound %v outside [0, 1]", eps)
-	}
-	n := seq.Len()
-	if n == 0 {
-		return &DPResult{Sequence: seq.WithRows(nil), C: 0}, nil
-	}
-	kn, err := NewKernel(seq, opts)
-	if err != nil {
-		return nil, err
-	}
-	maxErr := kn.MaxError()
-	accept := acceptErrorBound(eps*maxErr, maxErr)
-
-	// Iterative deepening preserves the serial evaluator's early exit: a
-	// total size of K needs per-run curves only up to K−R+1 (every other
-	// run keeps ≥ 1 tuple), so loose bounds that stop at small K never pay
-	// for full curves. Each failed round doubles K and extends the retained
-	// per-run curves in place; the geometric growth bounds total work at a
-	// small constant of the final round's.
-	runs := decomposeRuns(kn)
-	R := len(runs)
-	for K := min(n, R+63); ; K = min(n, 2*K) {
-		if err := computeCurves(seq, runs, K-R+1, opts, workers); err != nil {
-			return nil, err
-		}
-		final, choice := allocateRuns(runs, K)
-		for k := R; k <= K; k++ {
-			if final[k] <= accept {
-				// Curves cover every size ≤ K, so k is the exact minimum.
-				rows, err := reconstructRuns(kn, runs, choice, k)
-				if err != nil {
-					return nil, err
-				}
-				return &DPResult{
-					Sequence: seq.WithRows(rows),
-					C:        k,
-					Error:    final[k],
-					Stats:    curveStats(runs),
-				}, nil
-			}
-		}
-		if K == n {
-			// A[n] = 0 ≤ bound always triggers; reaching this point means
-			// the curve combination is broken.
-			panic("core: error-bounded parallel DP did not terminate")
-		}
-	}
-}
-
-// extend grows the run's curve and split matrices to sizes 1..min(len, c)
-// using the gap-free DP restricted to the run, resuming from the retained
-// state when the curve is partially filled. The split rows must outlive
-// this call (reconstruction happens after all runs finish) and the state
-// must survive across rounds that may land on different worker goroutines,
-// so both use private allocations — never a caller- or worker-shared
-// Scratch.
-func (rc *runCurve) extend(seq *temporal.Sequence, c int, opts Options) error {
-	q := rc.hi - rc.lo + 1
-	kmax := min(q, c)
-	if len(rc.curve) >= kmax {
-		return nil
-	}
-	if rc.st == nil {
-		sub := seq.WithRows(seq.Rows[rc.lo-1 : rc.hi])
-		sopts := opts
-		sopts.Scratch = &Scratch{} // private: retained by the state
-		kn, err := NewKernel(sub, sopts)
-		if err != nil {
-			return err
-		}
-		rc.st = newDPState(kn, sopts, true, true, true)
-		rc.st.ownSplits = true
-	}
-	for k := len(rc.curve) + 1; k <= kmax; k++ {
-		e, err := rc.st.fillRow(k)
-		if err != nil {
-			return err
-		}
-		rc.curve = append(rc.curve, e)
-	}
-	rc.splits = rc.st.splits
-	return nil
-}
-
-// reconstruct expands the run's optimal reduction to size k into rows,
-// using the global prefix for the merges (indices shifted to run space).
-func (rc *runCurve) reconstruct(kn *CostKernel, k int) []temporal.SeqRow {
-	rows := make([]temporal.SeqRow, k)
-	hi := rc.hi - rc.lo + 1 // run-local 1-based end
-	for kk := k; kk >= 1; kk-- {
-		j := int(rc.splits[kk-1][hi])
-		rows[kk-1] = kn.MergeRange(rc.lo+j, rc.lo+hi-1)
-		hi = j
-	}
-	return rows
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -124,7 +125,8 @@ func sortFloat64s(vs []float64) {
 
 // TestMonotoneSegmentsUnit pins the segmentation on hand-built shapes:
 // direction changes split, plateaus extend either direction, gaps always
-// start a new segment, and MonotoneRuns is exactly "one segment per run".
+// start a new segment, and whole-run monotonicity is exactly "one segment
+// per run".
 func TestMonotoneSegmentsUnit(t *testing.T) {
 	build := func(vals []float64, gapAfter int) *CostKernel {
 		seq := temporal.NewSequence(nil, []string{"v"})
@@ -163,8 +165,8 @@ func TestMonotoneSegmentsUnit(t *testing.T) {
 		if got := kn.MonotoneSegments(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: segments = %v, want %v", tc.name, got, tc.want)
 		}
-		if got := kn.MonotoneRuns(); got != tc.runs {
-			t.Errorf("%s: MonotoneRuns = %v, want %v", tc.name, got, tc.runs)
+		if got := len(kn.MonotoneSegments()) == kn.CMin(); got != tc.runs {
+			t.Errorf("%s: whole-run monotone = %v, want %v", tc.name, got, tc.runs)
 		}
 	}
 }
@@ -202,14 +204,15 @@ func TestMonotoneCoverage(t *testing.T) {
 	if got := kn.MonotoneCoverage(); got != want {
 		t.Fatalf("coverage = %v, want %v (segments %v)", got, want, kn.MonotoneSegments())
 	}
-	if kn.MonotoneRuns() {
+	if len(kn.MonotoneSegments()) == kn.CMin() {
 		t.Fatal("mixed shape certified as whole-run monotone")
 	}
 }
 
 // TestMonotoneSegmentsConcurrent is the -race regression test for lazy
 // certification: many goroutines share one kernel — some through
-// DPMultiKernel (the Engine.CompressMany sharing pattern), some calling the
+// one-shot Solvers over the shared kernel (the Engine.CompressMany
+// sharing pattern), some calling the
 // certification accessors directly — and must observe one consistent
 // segmentation with no data race (the kernel computes it under a
 // sync.Once).
@@ -220,8 +223,8 @@ func TestMonotoneSegmentsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgets := []MultiBudget{{C: kn.CMin()}, {Eps: 0.2}, {C: min(kn.CMin()+8, kn.N())}}
-	want, err := DPMultiKernel(kn, budgets, Options{Fill: FillDC}, true, true)
+	budgets := []Budget{SizeBudget(kn.CMin()), ErrorBudget(0.2), SizeBudget(min(kn.CMin()+8, kn.N()))}
+	want, err := NewKernelSolver(kn, Options{Fill: FillDC}, true, true).SolveAll(context.Background(), budgets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +236,13 @@ func TestMonotoneSegmentsConcurrent(t *testing.T) {
 			defer wg.Done()
 			if g%2 == 0 {
 				segs := kn.MonotoneSegments()
-				_ = kn.MonotoneRuns()
 				if kn.MonotoneCoverage() == 0 || len(segs) == 0 {
 					errs <- errMixedNotCovered
 					return
 				}
 				return
 			}
-			got, err := DPMultiKernel(kn, budgets, Options{Fill: FillDC}, true, true)
+			got, err := NewKernelSolver(kn, Options{Fill: FillDC}, true, true).SolveAll(context.Background(), budgets)
 			if err != nil {
 				errs <- err
 				return
@@ -263,7 +265,7 @@ func TestMonotoneSegmentsConcurrent(t *testing.T) {
 
 var (
 	errMixedNotCovered = errors.New("shared kernel: mixed data lost its certified segments")
-	errMultiDiverged   = errors.New("shared kernel: concurrent DPMultiKernel diverged")
+	errMultiDiverged   = errors.New("shared kernel: concurrent multi-budget solvers diverged")
 )
 
 // TestFillPropPiecewiseBitwiseIdentical: on mixed-shape data — where
@@ -289,7 +291,7 @@ func TestFillPropPiecewiseBitwiseIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kn.MonotoneRuns() {
+		if len(kn.MonotoneSegments()) == kn.CMin() {
 			t.Fatalf("seed %d: mixedSequence certified whole-run monotone", seed)
 		}
 		if kn.MonotoneCoverage() == 0 {
@@ -333,7 +335,7 @@ func TestFillPropAdversarialFlips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kn.MonotoneRuns() {
+		if len(kn.MonotoneSegments()) == kn.CMin() {
 			t.Fatalf("seed %d: flipSequence certified whole-run monotone", seed)
 		}
 		if kn.MonotoneCoverage() == 0 {

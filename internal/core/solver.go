@@ -7,12 +7,50 @@ import (
 	"repro/internal/temporal"
 )
 
-// Solver owns an incrementally filled pair of DP matrices for one sequence:
-// the error column E[k][n] and every split-point row J[k] computed so far are
-// retained, so answering a new budget reuses all rows filled by earlier
-// budgets and only extends the matrices when a deeper row is needed. It is
-// the unit a serving layer caches per hot series — a repeated budget costs
-// one backtrack, no DP fill at all.
+// Budget is one exact-evaluation budget: a size bound (at most C tuples)
+// or, when ErrorBound is set, an error bound (at most Eps·SSEmax introduced
+// error, 0 ≤ Eps ≤ 1).
+type Budget struct {
+	C          int
+	Eps        float64
+	ErrorBound bool
+}
+
+// SizeBudget returns the size bound c.
+func SizeBudget(c int) Budget { return Budget{C: c} }
+
+// ErrorBudget returns the error bound eps.
+func ErrorBudget(eps float64) Budget { return Budget{Eps: eps, ErrorBound: true} }
+
+// checkBudget validates a budget against the kernel's input — the argument
+// errors every exact evaluator reports, serial (Solver) and run-decomposed
+// (SolveRuns) alike.
+func checkBudget(kn *CostKernel, b Budget) error {
+	switch {
+	case b.ErrorBound:
+		if !(b.Eps >= 0 && b.Eps <= 1) {
+			return fmt.Errorf("core: error bound %v outside [0, 1]", b.Eps)
+		}
+	case kn.N() == 0:
+		if b.C != 0 {
+			return fmt.Errorf("core: size bound %d for an empty relation", b.C)
+		}
+	case b.C < kn.CMin():
+		return &InfeasibleSizeError{C: b.C, CMin: kn.CMin()}
+	}
+	return nil
+}
+
+// Solver is the single-run exact DP driver: it fills the error matrix E and
+// the split-point matrix J row by row over one cost kernel and answers size
+// and error budgets from them (PTAc, Fig. 7, and PTAe, Fig. 8, differ only
+// in the row where filling stops). The error column E[k][n] and every
+// split-point row J[k] computed so far are retained, so answering a new
+// budget reuses all rows filled by earlier budgets and only extends the
+// matrices when a deeper row is needed: several budgets on one Solver cost
+// one fill to the deepest row any of them needs (SolveAll), and a retained
+// Solver is the unit a serving layer caches per hot series — a repeated
+// budget costs one backtrack, no DP fill at all.
 //
 // A Solver is NOT safe for concurrent use; callers serialize access (the
 // serve-layer cache guards each entry with a mutex). The context travels per
@@ -20,7 +58,6 @@ import (
 type Solver struct {
 	kn     *CostKernel
 	st     *dpState
-	opts   Options   // construction options; Ctx is replaced per call
 	rowErr []float64 // rowErr[k] = E[k][n] for k = 1..filled
 	filled int
 	bound  float64 // SSEmax, resolved lazily for error budgets
@@ -28,38 +65,57 @@ type Solver struct {
 	lazy   SplitRowSource // non-nil after RestoreLazy; rows 1..restored may be unmaterialized
 }
 
-// NewSolver builds a solver for the sequence with the given pruning flags
-// (PruneBoth semantics split into its two Section 5.3 bounds, matching
-// DPMulti). Options.Fill selects the row-fill algorithm; every algorithm
-// fills bitwise-identical matrices, so cached solvers built with different
-// fills stay interchangeable. The options' Ctx and Scratch are ignored:
-// rows and kernel slabs must outlive any single call, so the solver always
-// owns its buffers.
+// NewSolver builds a retained solver for a non-empty sequence with the
+// given pruning flags (the two Section 5.3 bounds of a PruneMode).
+// Options.Fill selects the row-fill algorithm; every algorithm fills
+// bitwise-identical matrices, so cached solvers built with different fills
+// stay interchangeable. The options' Ctx and Scratch are ignored: rows and
+// kernel slabs must outlive any single call, so the solver always owns its
+// buffers.
 func NewSolver(seq *temporal.Sequence, opts Options, pruneI, pruneJ bool) (*Solver, error) {
 	if seq.Len() == 0 {
 		return nil, fmt.Errorf("core: solver over an empty relation")
 	}
 	opts.Ctx, opts.Scratch = nil, nil
-	if opts.Fill == FillAuto && pruneI && pruneJ && seq.Len() >= fillAutoThreshold {
-		// The incremental path answers rows one at a time (Deepen), where
-		// the batch fills would redo their whole-row setup per row; the
-		// online frontier fill is built for exactly this shape. Matrices
-		// are bitwise-identical across fills, so the swap is invisible to
-		// cache keys (FillAuto shares the DPClass) and to results.
-		opts.Fill = FillOnline
-	}
 	kn, err := NewKernel(seq, opts)
 	if err != nil {
 		return nil, err
 	}
-	st := newDPState(kn, opts, pruneI, pruneJ, true)
-	st.ownSplits = true
+	return newSolver(kn, opts, pruneI, pruneJ, true), nil
+}
+
+// NewKernelSolver builds a one-shot solver over a prebuilt kernel (which
+// may describe an empty relation): callers that answer several budget
+// groups of one series (pta's Engine.CompressMany) build the kernel once
+// and share its prefix slabs across every group's solver. opts must be the
+// options the kernel was built with (weights are baked into the kernel).
+// When opts.Scratch is set, the solver borrows its row buffers, so it must
+// not outlive the caller's use of that Scratch.
+func NewKernelSolver(kn *CostKernel, opts Options, pruneI, pruneJ bool) *Solver {
+	return newSolver(kn, opts, pruneI, pruneJ, false)
+}
+
+// newSolver resolves the fill and the buffer ownership from one fact:
+// whether the solver is retained beyond the call that builds it. A retained
+// solver answers rows one at a time (Deepen) across calls, where the batch
+// fills would redo their whole-row setup per row, so FillAuto takes the
+// online frontier fill built for exactly this shape; its rows must outlive
+// any Scratch. A one-shot solver keeps FillAuto's batch resolution (pruned
+// or dc, see FillAlgo) and may borrow opts.Scratch. Matrices are
+// bitwise-identical across fills, so the swap is invisible to cache keys
+// (FillAuto shares the DPClass) and to results.
+func newSolver(kn *CostKernel, opts Options, pruneI, pruneJ, retained bool) *Solver {
+	if retained {
+		opts.Scratch = nil
+		if opts.Fill == FillAuto && pruneI && pruneJ && kn.N() >= fillAutoThreshold {
+			opts.Fill = FillOnline
+		}
+	}
 	return &Solver{
 		kn:     kn,
-		st:     st,
-		opts:   opts,
+		st:     newDPState(kn, opts, pruneI, pruneJ, true),
 		rowErr: make([]float64, kn.N()+1),
-	}, nil
+	}
 }
 
 // N returns the input size n.
@@ -121,25 +177,85 @@ func (sv *Solver) ensure(ctx context.Context, k int) error {
 // SolveSize answers a size budget c: the minimal-error reduction to at most
 // c tuples, reusing every previously filled row.
 func (sv *Solver) SolveSize(ctx context.Context, c int) (*DPResult, error) {
-	n := sv.kn.N()
-	if cmin := sv.kn.CMin(); c < cmin {
-		return nil, &InfeasibleSizeError{C: c, CMin: cmin}
+	return sv.Solve(ctx, SizeBudget(c))
+}
+
+// SolveError answers an error budget eps ∈ [0, 1]: the smallest k whose
+// reduction introduces at most eps·SSEmax error. Rows filled while searching
+// are retained for later budgets.
+func (sv *Solver) SolveError(ctx context.Context, eps float64) (*DPResult, error) {
+	return sv.Solve(ctx, ErrorBudget(eps))
+}
+
+// Solve answers one budget. It is the one place a budget becomes a matrix
+// row: a size bound c selects row c (the input itself when c ≥ n), an error
+// bound the first row whose E[k][n] fits eps·SSEmax; rows are filled only
+// as far as that search needs and the reduction is rebuilt by following the
+// split points back from cell (k, n) (Example 11).
+func (sv *Solver) Solve(ctx context.Context, b Budget) (*DPResult, error) {
+	if err := checkBudget(sv.kn, b); err != nil {
+		return nil, err
 	}
-	if c >= n {
+	n := sv.kn.N()
+	k := b.C
+	if b.ErrorBound {
+		if !sv.hasMax {
+			sv.bound = sv.kn.MaxError()
+			sv.hasMax = true
+		}
+		// E[n][n] = 0 fits every bound, so the search stops by row n.
+		bound := acceptErrorBound(b.Eps*sv.bound, sv.bound)
+		for k = min(n, 1); k < n; k++ {
+			if err := sv.ensure(ctx, k); err != nil {
+				return nil, err
+			}
+			if sv.rowErr[k] <= bound {
+				break
+			}
+		}
+	} else if k >= n {
+		// ρ(s, c) = s when |s| ≤ c: nothing to merge.
 		return &DPResult{Sequence: sv.kn.Sequence().Clone(), C: n, Stats: sv.st.stats}, nil
 	}
-	if err := sv.ensure(ctx, c); err != nil {
+	if err := sv.ensure(ctx, k); err != nil {
 		return nil, err
 	}
-	if err := sv.materialize(c); err != nil {
+	if err := sv.materialize(k); err != nil {
 		return nil, err
 	}
+	rows := make([]temporal.SeqRow, k)
+	sv.st.backtrack(k, func(t, first, last int) { rows[t] = sv.kn.MergeRange(first, last) })
 	return &DPResult{
-		Sequence: sv.kn.Sequence().WithRows(sv.st.reconstruct(c)),
-		C:        c,
-		Error:    sv.rowErr[c],
+		Sequence: sv.kn.Sequence().WithRows(rows),
+		C:        k,
+		Error:    sv.rowErr[k],
 		Stats:    sv.st.stats,
 	}, nil
+}
+
+// SolveAll answers every budget from the one solver and stamps each result
+// with the stats of the whole pass: the rows are filled once, to the
+// deepest row any budget needs, which is what makes serving several
+// resolutions of one series cheap. All budgets are validated before any row
+// is filled.
+func (sv *Solver) SolveAll(ctx context.Context, budgets []Budget) ([]*DPResult, error) {
+	for _, b := range budgets {
+		if err := checkBudget(sv.kn, b); err != nil {
+			return nil, err
+		}
+	}
+	results := make([]*DPResult, len(budgets))
+	for i, b := range budgets {
+		res, err := sv.Solve(ctx, b)
+		if err != nil {
+			return nil, err
+		}
+		results[i] = res
+	}
+	for _, res := range results {
+		res.Stats = sv.st.stats
+	}
+	return results, nil
 }
 
 // SolverState is the portable warm state of a Solver: every filled
@@ -310,39 +426,4 @@ func (sv *Solver) materialize(k int) error {
 		sv.st.splits[r-1] = row
 	}
 	return nil
-}
-
-// SolveError answers an error budget eps ∈ [0, 1]: the smallest k whose
-// reduction introduces at most eps·SSEmax error. Rows filled while searching
-// are retained for later budgets.
-func (sv *Solver) SolveError(ctx context.Context, eps float64) (*DPResult, error) {
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("core: error bound %v outside [0, 1]", eps)
-	}
-	if !sv.hasMax {
-		sv.bound = sv.kn.MaxError()
-		sv.hasMax = true
-	}
-	bound := acceptErrorBound(eps*sv.bound, sv.bound)
-	n := sv.kn.N()
-	for k := 1; k <= n; k++ {
-		if k > sv.filled {
-			if err := sv.ensure(ctx, k); err != nil {
-				return nil, err
-			}
-		}
-		if sv.rowErr[k] <= bound {
-			if err := sv.materialize(k); err != nil {
-				return nil, err
-			}
-			return &DPResult{
-				Sequence: sv.kn.Sequence().WithRows(sv.st.reconstruct(k)),
-				C:        k,
-				Error:    sv.rowErr[k],
-				Stats:    sv.st.stats,
-			}, nil
-		}
-	}
-	// E[n][n] = 0 ≤ bound always triggers within the loop.
-	panic("core: solver error-bounded search did not terminate")
 }

@@ -37,10 +37,12 @@ const (
 // hashing assigns its fingerprint, so repeated compressions of the same
 // series hit the same workers' matrix and spill caches, and the curves are
 // recombined locally with the in-process allocation DP and the global cost
-// kernel. Workers therefore only contribute curve values and split
-// boundaries — every returned row is re-derived from the coordinator's own
-// kernel, which is what makes the distributed result bit-identical to
-// core.PTAcParallel/PTAeParallel (see docs/ARCHITECTURE.md § Distribution).
+// kernel. The recombination is core.SolveRuns, the in-process run front,
+// with gather as its curve source. Workers therefore only contribute curve
+// values and split boundaries — every returned row is re-derived from the
+// coordinator's own kernel, which is what makes the distributed result
+// bit-identical to core.PTAcParallel/PTAeParallel (see
+// docs/ARCHITECTURE.md § Distribution).
 //
 // A Coordinator is safe for concurrent use.
 type Coordinator struct {
@@ -280,10 +282,11 @@ type shard struct {
 	ranges [][][2]int32 // ranges[k-1][i] = global (first,last) of merged row i
 	cells  int64        // worker-reported DP cost, summed over rounds
 	inner  int64
+	skips  int64
 }
 
 // makeShards cuts the series into shards along the kernel's gap positions —
-// exactly core.decomposeRuns' decomposition.
+// the maximal adjacent runs core.SolveRuns allocates over.
 func makeShards(s *pta.Series, kn *core.CostKernel) []*shard {
 	bounds := append(append([]int(nil), kn.Gaps()...), s.Len())
 	shards := make([]*shard, 0, len(bounds))
@@ -317,93 +320,76 @@ func (c *Coordinator) compress(ctx context.Context, s *pta.Series, b pta.Budget,
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	n := s.Len()
-	if n == 0 {
-		if b.Kind() == pta.BudgetSize && b.C() != 0 {
-			return nil, fmt.Errorf("dist: size bound %d for an empty relation", b.C())
-		}
-		return &pta.Result{Series: s.WithRows(nil)}, nil
-	}
-	if len(c.Workers()) == 0 {
+	if s.Len() > 0 && len(c.Workers()) == 0 {
 		return nil, fmt.Errorf("dist: no workers configured")
 	}
 	kn, err := core.NewKernel(s, core.Options{Weights: opts.Weights, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
-	c.m.compressions.Inc()
-
-	if b.Kind() == pta.BudgetSize {
-		cb := b.C()
-		if cmin := kn.CMin(); cb < cmin {
-			return nil, &core.InfeasibleSizeError{C: cb, CMin: cmin}
-		}
-		if cb >= n {
-			return &pta.Result{Series: s.Clone(), C: n}, nil
-		}
-		shards := makeShards(s, kn)
-		// Per-shard curves past cb−R+1 rows can never be chosen (every
-		// other shard keeps ≥ 1 tuple) — the same truncation PTAcParallel
-		// applies.
-		if err := c.gather(ctx, shards, cb-len(shards)+1, opts); err != nil {
-			return nil, err
-		}
-		final, choice := core.AllocateCurves(curvesOf(shards), cb)
-		return finishResult(s, kn, shards, final, choice, cb)
+	if s.Len() > 0 {
+		c.m.compressions.Inc()
 	}
-
-	// Error bound: iterative deepening exactly like PTAeParallel — the
-	// acceptance threshold, the deepening schedule and the curve truncation
-	// all match, so the chosen size k is identical. Each round widens the
-	// per-shard fetch to only the new curve rows; the workers' matrix
-	// caches make the repeat visits cheap.
-	maxErr := kn.MaxError()
-	accept := core.AcceptErrorBound(b.Eps()*maxErr, maxErr)
-	shards := makeShards(s, kn)
-	R := len(shards)
-	for K := min(n, R+63); ; K = min(n, 2*K) {
-		if err := c.gather(ctx, shards, K-R+1, opts); err != nil {
-			return nil, err
-		}
-		final, choice := core.AllocateCurves(curvesOf(shards), K)
-		for k := R; k <= K; k++ {
-			if final[k] <= accept {
-				return finishResult(s, kn, shards, final, choice, k)
-			}
-		}
-		if K == n {
-			return nil, fmt.Errorf("dist: internal error: error bound not reached at full size")
-		}
+	// The run front maps the budget to a total size, deepens the shard
+	// curves through gather (only the new rows each round; the workers'
+	// matrix caches make repeat visits cheap) and merges every output row
+	// from the coordinator's own kernel — the same driver, acceptance
+	// threshold and tie-breaks as the in-process parallel evaluators.
+	src := &shardSource{c: c, s: s, kn: kn, opts: opts}
+	res, err := core.SolveRuns(ctx, kn, src, []core.Budget{{C: b.C(), Eps: b.Eps(), ErrorBound: b.Kind() == pta.BudgetError}})
+	if err != nil {
+		return nil, err
 	}
+	r := res[0]
+	return &pta.Result{Series: r.Sequence, C: r.C, Error: r.Error, Stats: pta.Stats{
+		Cells:         r.Stats.Cells,
+		InnerIters:    r.Stats.InnerIters,
+		EnvelopeSkips: r.Stats.EnvelopeSkips,
+	}}, nil
 }
 
-func curvesOf(shards []*shard) [][]float64 {
-	curves := make([][]float64, len(shards))
-	for i, sh := range shards {
+// shardSource is the run front's remote curve source: the series' runs
+// become shards whose curves gather deepens over the worker fleet. Workers
+// only contribute curve values and split boundaries; the front re-merges
+// every row from the coordinator's kernel.
+type shardSource struct {
+	c      *Coordinator
+	s      *pta.Series
+	kn     *core.CostKernel
+	opts   pta.Options
+	shards []*shard // cut on the first Deepen
+}
+
+func (src *shardSource) Deepen(ctx context.Context, kcap int) error {
+	if src.shards == nil {
+		src.shards = makeShards(src.s, src.kn)
+	}
+	return src.c.gather(ctx, src.shards, kcap, src.opts)
+}
+
+func (src *shardSource) Curves() [][]float64 {
+	curves := make([][]float64, len(src.shards))
+	for i, sh := range src.shards {
 		curves[i] = sh.curve
 	}
 	return curves
 }
 
-// finishResult recombines gathered shard state into the final reduction:
-// the allocation DP picks each shard's size, and every output row is
-// merged from the coordinator's own global kernel over the worker-reported
-// split ranges — workers never contribute aggregate arithmetic.
-func finishResult(s *pta.Series, kn *core.CostKernel, shards []*shard, final []float64, choice [][]int32, k int) (*pta.Result, error) {
-	alloc, err := core.SplitAllocation(choice, k)
-	if err != nil {
-		return nil, err
+func (src *shardSource) Ranges(r, k int, emit func(t, first, last int)) {
+	for t, rg := range src.shards[r].ranges[k-1] {
+		emit(t, int(rg[0]), int(rg[1]))
 	}
-	rows := make([]pta.Row, 0, k)
-	var stats pta.Stats
-	for r, sh := range shards {
-		for _, rg := range sh.ranges[alloc[r]-1] {
-			rows = append(rows, kn.MergeRange(int(rg[0]), int(rg[1])))
-		}
-		stats.Cells += sh.cells
-		stats.InnerIters += sh.inner
+}
+
+// Stats sums the worker-reported fill cost of every shard.
+func (src *shardSource) Stats() core.DPStats {
+	var st core.DPStats
+	for _, sh := range src.shards {
+		st.Cells += sh.cells
+		st.InnerIters += sh.inner
+		st.EnvelopeSkips += sh.skips
 	}
-	return &pta.Result{Series: s.WithRows(rows), C: k, Error: final[k], Stats: stats}, nil
+	return st
 }
 
 // gather extends every shard's curve to min(shard length, kcap) rows,
@@ -564,7 +550,7 @@ func (sh *shard) absorb(results []serve.ResultWire, from, to int) error {
 		return fmt.Errorf("internal error: curve has %d rows before absorbing size %d", len(sh.curve), from)
 	}
 	ranges := make([][][2]int32, len(results))
-	var cells, inner int64
+	var cells, inner, skips int64
 	for i, res := range results {
 		k := from + i
 		if res.C != k || len(res.Rows) != k {
@@ -582,6 +568,7 @@ func (sh *shard) absorb(results []serve.ResultWire, from, to int) error {
 		// fill cost; count it once per round trip.
 		cells = max(cells, res.Stats.Cells)
 		inner = max(inner, res.Stats.InnerIters)
+		skips = max(skips, res.Stats.EnvelopeSkips)
 	}
 	for i, res := range results {
 		sh.curve = append(sh.curve, res.Error)
@@ -589,6 +576,7 @@ func (sh *shard) absorb(results []serve.ResultWire, from, to int) error {
 	}
 	sh.cells += cells
 	sh.inner += inner
+	sh.skips += skips
 	return nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/dist/disttest"
 	"repro/internal/serve"
 	"repro/pta"
@@ -236,6 +237,17 @@ func TestDistMetrics(t *testing.T) {
 	}
 	if observed == 0 {
 		t.Fatal("no per-worker latency observations recorded")
+	}
+
+	// The result sums the workers' whole fill stats, envelope skips
+	// included: mixed-shape runs long enough for the monotone fill skip
+	// candidate blocks on the workers.
+	mixed, err := dataset.Mixed(2, 300, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := mustCompress(t, co, mixed, pta.Size(mixed.CMin()+20)); res.Stats.EnvelopeSkips == 0 {
+		t.Fatalf("dist stats %+v carry no envelope skips", res.Stats)
 	}
 
 	// Shrinking the fleet must move some recently routed series and count

@@ -35,6 +35,7 @@ type curveEntry struct {
 	ranges [][][2]int32 // ranges[k-1][i] = 0-based (first,last) within the run
 	cells  int64
 	inner  int64
+	skips  int64
 }
 
 func newCurveCache(capacity int) *curveCache {
@@ -88,6 +89,7 @@ func (cc *curveCache) seed(sh *shard, key string) bool {
 	}
 	sh.cells = e.cells
 	sh.inner = e.inner
+	sh.skips = e.skips
 	cc.mu.Unlock()
 	return true
 }
@@ -101,6 +103,7 @@ func (cc *curveCache) store(sh *shard, key string) {
 		ranges: make([][][2]int32, len(sh.ranges)),
 		cells:  sh.cells,
 		inner:  sh.inner,
+		skips:  sh.skips,
 	}
 	lo := int32(sh.lo)
 	for k, rgs := range sh.ranges {

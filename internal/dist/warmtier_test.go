@@ -41,7 +41,7 @@ func TestDistCurveCacheSkipsRescatter(t *testing.T) {
 	shardsBefore := co.m.shards.Value()
 	second := mustCompress(t, co, s, b)
 	assertSameResult(t, "cached repeat", second, first)
-	if second.Stats.Cells != first.Stats.Cells || second.Stats.InnerIters != first.Stats.InnerIters {
+	if second.Stats != first.Stats {
 		t.Errorf("cached repeat stats %+v, want %+v (fleet cost is part of the entry)",
 			second.Stats, first.Stats)
 	}

@@ -63,6 +63,22 @@ const (
 // uint32 cells plus a CRC32 over them.
 func spillRowSize(n int) int { return (n+1)*4 + 4 }
 
+// spillHeaderLen is the length of the eagerly validated header section
+// encodeSnapshot writes for a snapshot of this identity and shape.
+func spillHeaderLen(key, strategy, class string, n, filled int) int {
+	return spillPreamble +
+		4 + len(key) + 4 + len(strategy) + 4 + len(class) +
+		8 + 8 + 1 + 8 + // n, filled, hasMax, bound
+		8*filled + 8*(n+1) + // row errors, resume row
+		4 // header crc
+}
+
+// spillSize is len(encodeSnapshot) for a snapshot of this identity and
+// shape: the header plus one section per split row.
+func spillSize(key, strategy, class string, n, filled int) int {
+	return spillHeaderLen(key, strategy, class, n, filled) + filled*spillRowSize(n)
+}
+
 // newCacheStore opens (creating if needed) the spill directory. maxBytes
 // bounds one spill file (0 = 64 MiB); oversized snapshots stay memory-only.
 func newCacheStore(dir string, maxBytes int64) (*cacheStore, error) {
@@ -93,21 +109,21 @@ func (cs *cacheStore) pathForHash(hash string) string {
 }
 
 // store spills one warm set's snapshot, reporting whether a file was
-// written. Failures only count errors — the in-memory entry stays valid.
+// written. The blob size follows from the set's shape alone, so a set over
+// the cap is refused before anything is snapshotted or encoded (and, for a
+// lazily restored set, before any row is materialized). Failures only
+// count errors — the in-memory entry stays valid.
 func (cs *cacheStore) store(key string, set *pta.MatrixSet) bool {
+	rows := set.Rows()
+	if rows == 0 || int64(spillSize(key, set.Strategy(), set.Class(), set.N(), rows)) > cs.maxBytes {
+		return false
+	}
 	snap, err := set.Snapshot()
 	if err != nil {
 		cs.errors.Add(1)
 		return false
 	}
-	if snap.Filled == 0 {
-		return false
-	}
-	data := encodeSnapshot(key, snap)
-	if int64(len(data)) > cs.maxBytes {
-		return false
-	}
-	return cs.writeBlob(key, data)
+	return cs.writeBlob(key, encodeSnapshot(key, snap))
 }
 
 // adopt writes a peer-fetched, already-validated blob through to the local
@@ -270,11 +286,7 @@ func (cs *cacheStore) stats() spillStats {
 // files content-addressed peer resources.
 func encodeSnapshot(key string, snap *pta.MatrixSnapshot) []byte {
 	cols := snap.N + 1
-	headerLen := spillPreamble +
-		4 + len(key) + 4 + len(snap.Strategy) + 4 + len(snap.Class) +
-		8 + 8 + 1 + 8 + // n, filled, hasMax, bound
-		8*len(snap.RowErr) + 8*len(snap.LastE) +
-		4 // header crc
+	headerLen := spillHeaderLen(key, snap.Strategy, snap.Class, snap.N, snap.Filled)
 	b := make([]byte, 0, headerLen+snap.Filled*spillRowSize(snap.N))
 	b = append(b, spillMagic...)
 	b = binary.LittleEndian.AppendUint32(b, spillVersion)

@@ -534,6 +534,8 @@ func statusFor(err error) (int, string) {
 		return http.StatusBadRequest, "not_streaming"
 	case errors.Is(err, pta.ErrBudgetInfeasible):
 		return http.StatusUnprocessableEntity, "budget_infeasible"
+	case errors.Is(err, pta.ErrNumericDomain):
+		return http.StatusUnprocessableEntity, "numeric_domain"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "deadline_exceeded"
 	case errors.Is(err, pta.ErrCanceled), errors.Is(err, context.Canceled):

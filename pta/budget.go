@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // BudgetKind discriminates the two compression budgets of the paper: a size
@@ -56,6 +58,11 @@ func (b Budget) C() int { return b.c }
 // Eps returns the error bound (meaningful only when Kind() == BudgetError).
 func (b Budget) Eps() float64 { return b.eps }
 
+// exact maps the budget onto the exact DP drivers' budget.
+func (b Budget) exact() core.Budget {
+	return core.Budget{C: b.c, Eps: b.eps, ErrorBound: b.kind == BudgetError}
+}
+
 // IsZero reports whether the budget was never set.
 func (b Budget) IsZero() bool { return b.kind == 0 }
 
@@ -67,7 +74,7 @@ func (b Budget) Validate() error {
 			return fmt.Errorf("pta: size budget %d, want ≥ 1", b.c)
 		}
 	case BudgetError:
-		if b.eps < 0 || b.eps > 1 {
+		if !(b.eps >= 0 && b.eps <= 1) { // rejects NaN too
 			return fmt.Errorf("pta: error budget %v outside [0, 1]", b.eps)
 		}
 	default:

@@ -337,22 +337,17 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 		parallelRuns := e.workers() != 1 && s.CMin() > 1
 		var kernel *core.CostKernel
 		for key, g := range groups {
-			budgets := make([]core.MultiBudget, len(g))
+			budgets := make([]core.Budget, len(g))
 			for j, i := range g {
-				b := plans[i].Budget
-				if b.Kind() == BudgetSize {
-					budgets[j] = core.MultiBudget{C: b.C()}
-				} else {
-					budgets[j] = core.MultiBudget{Eps: b.Eps()}
-				}
+				budgets[j] = plans[i].Budget.exact()
 			}
 			var dpResults []*core.DPResult
 			var err error
 			if parallelRuns && key.pruneI && key.pruneJ {
-				// The run-decomposed pass spins per-run scratch internally;
-				// the pooled scratch stays out to avoid cross-goroutine
-				// sharing — exactly as Compress's parallel path.
-				dpResults, err = core.DPMultiParallel(s, budgets, e.opts.coreOptionsCtx(ctx), e.workers())
+				// The run front's solvers own their buffers; the pooled
+				// scratch stays out to avoid cross-goroutine sharing —
+				// exactly as Compress's parallel path.
+				dpResults, err = core.SolveParallel(s, budgets, e.opts.coreOptionsCtx(ctx), e.workers())
 			} else {
 				if kernel == nil {
 					if kernel, err = core.NewKernel(s, copts); err != nil {
@@ -360,7 +355,7 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 						return nil, ferr
 					}
 				}
-				dpResults, err = core.DPMultiKernel(kernel, budgets, copts, key.pruneI, key.pruneJ)
+				dpResults, err = core.NewKernelSolver(kernel, copts, key.pruneI, key.pruneJ).SolveAll(ctx, budgets)
 			}
 			if err != nil {
 				// Attribute the failure to the plan that caused it (an

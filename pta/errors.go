@@ -3,6 +3,8 @@ package pta
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/core"
 )
 
 // Sentinel errors of the facade. Every error the package returns matches
@@ -27,6 +29,11 @@ var (
 	// the classic time-series baselines need a single-group, gap-free,
 	// one-dimensional series.
 	ErrSeriesShape = errors.New("series shape unsupported by strategy")
+	// ErrNumericDomain reports input the exact evaluators' arithmetic
+	// cannot represent: a NaN or ±Inf value, finite values whose
+	// length-weighted square sums overflow float64, or a weight whose
+	// square overflows.
+	ErrNumericDomain = core.ErrNumericDomain
 )
 
 // UnknownStrategyError is the concrete error behind ErrUnknownStrategy: it

@@ -142,18 +142,6 @@ func (m *MatrixSet) Compress(ctx context.Context, b Budget) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &CanceledError{Strategy: m.strategy, Cause: err}
 	}
-	var (
-		dres *core.DPResult
-		err  error
-	)
-	switch b.Kind() {
-	case BudgetSize:
-		dres, err = m.sv.SolveSize(ctx, b.C())
-	case BudgetError:
-		dres, err = m.sv.SolveError(ctx, b.Eps())
-	default:
-		return nil, ErrBudgetKind
-	}
-	res, err := fromDP(dres, err)
+	res, err := fromDP(m.sv.Solve(ctx, b.exact()))
 	return finishResult(m.strategy, b, res, err)
 }

@@ -93,6 +93,7 @@ func TestBudgetParse(t *testing.T) {
 		{"0.05", pta.ErrorBound(0.05), true},
 		{"c=0", pta.Budget{}, false},
 		{"eps=1.5", pta.Budget{}, false},
+		{"eps=NaN", pta.Budget{}, false},
 		{"banana", pta.Budget{}, false},
 		{"q=4", pta.Budget{}, false},
 	}

@@ -10,7 +10,7 @@ import (
 // funcEvaluator adapts per-budget-kind functions to the Evaluator interface.
 // A nil function means the kind is unsupported. Exact dynamic-programming
 // strategies additionally carry their pruning flags (dp=true), which lets
-// the engine amortize several budgets on one series through core.DPMulti.
+// the engine amortize several budgets on one series through one core.Solver.
 type funcEvaluator struct {
 	name, desc string
 	size       func(ctx context.Context, s *Series, c int, opts Options) (*Result, error)
@@ -81,7 +81,7 @@ func (f *streamFuncEvaluator) EvaluateStream(ctx context.Context, src Stream, b 
 
 // parallelDPEvaluator is a fully pruned exact DP evaluator that can also
 // decompose its evaluation over maximal adjacent runs: the group-parallel
-// execution path of the engine (core.PTAcParallel / core.PTAeParallel).
+// execution path of the engine (the run front, core.SolveParallel).
 type parallelDPEvaluator struct {
 	funcEvaluator
 }
@@ -114,28 +114,25 @@ func (f *streamDPEvaluator) EvaluateStream(ctx context.Context, src Stream, b Bu
 		// refuses empty relations.
 		return f.Evaluate(ctx, s, b, opts)
 	}
+	if b.IsZero() {
+		return nil, ErrBudgetKind
+	}
 	sv, err := core.NewSolver(s, opts.coreOptions(), true, true)
 	if err != nil {
 		return nil, err
 	}
-	switch b.Kind() {
-	case BudgetSize:
-		return fromDP(sv.SolveSize(ctx, b.C()))
-	case BudgetError:
-		return fromDP(sv.SolveError(ctx, b.Eps()))
-	}
-	return nil, ErrBudgetKind
+	return fromDP(sv.Solve(ctx, b.exact()))
 }
 
 func (f *parallelDPEvaluator) EvaluateParallel(ctx context.Context, s *Series, b Budget, opts Options, workers int) (*Result, error) {
-	copts := opts.coreOptionsCtx(ctx)
-	switch b.Kind() {
-	case BudgetSize:
-		return fromDP(core.PTAcParallel(s, b.C(), copts, workers))
-	case BudgetError:
-		return fromDP(core.PTAeParallel(s, b.Eps(), copts, workers))
+	if b.IsZero() {
+		return nil, ErrBudgetKind
 	}
-	return nil, ErrBudgetKind
+	res, err := core.SolveParallel(s, []core.Budget{b.exact()}, opts.coreOptionsCtx(ctx), workers)
+	if err != nil {
+		return nil, err
+	}
+	return fromDP(res[0], nil)
 }
 
 // fromDP packages an exact-evaluation outcome.
